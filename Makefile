@@ -104,7 +104,7 @@ chaos-write:
 # BENCH_BASELINE.json. Fails only on a tolerance breach (counters ±30%,
 # duration one-sided; see scripts/benchdiff.go).
 bench:
-	$(GO) test -bench='E9|E16' -benchtime=1x -count=3 -run='^$$' .
+	$(GO) test -bench='E9|E16' -benchmem -benchtime=1x -count=3 -run='^$$' .
 	$(GO) run ./cmd/cubebench -stats-json > $(BENCH_OUT)
 	bash scripts/serve_smoke.sh bench >> $(BENCH_OUT)
 	$(GO) run ./scripts/benchdiff.go -baseline BENCH_BASELINE.json -current $(BENCH_OUT)

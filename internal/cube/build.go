@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -146,9 +147,9 @@ type Options struct {
 var parMinRows = parallel.MinWork
 
 // stage resolves build options into a fan-out stage: below the row
-// threshold the stage is pinned to one worker, which makes every
-// ForEach/GroupReduce on it run inline. The build context rides on the
-// stage, so every level fan-out and row scan checks it between tasks.
+// threshold the stage is pinned to one worker, which makes every ForEach
+// on it run inline. The build context rides on the stage, so every view
+// fan-out checks it between tasks.
 func (o Options) stage(ctx context.Context, name string, rows int) parallel.Stage {
 	st := parallel.Stage{Name: name, Workers: o.Workers, Span: o.Span, Ctx: ctx}
 	if rows < parMinRows {
@@ -280,14 +281,9 @@ func buildROLAPNaiveCtx(ctx context.Context, in *Input, opt Options) (*Views, er
 		if err := inj.Hit(fault.PointCubeView); err != nil {
 			return err
 		}
-		dims := maskDims(mask, n)
-		m := map[uint64]float64{}
-		tick := budget.NewTicker(ctx, 0)
-		for ri, row := range in.Rows {
-			if err := tick.Tick(); err != nil {
-				return err
-			}
-			m[groupKey(row, dims, in.Card)] += in.Vals[ri]
+		m, err := groupBy(ctx, in, maskDims(mask, n))
+		if err != nil {
+			return err
 		}
 		if err := acct.chargeView(len(m), rolapEntryBytes); err != nil {
 			return err
@@ -317,13 +313,14 @@ func BuildROLAPSmallestParentWith(in *Input, opt Options) (*Views, error) {
 }
 
 // BuildROLAPSmallestParentCtx is BuildROLAPSmallestParent with a context
-// and build options. The base group-by runs as a deterministic grouped
-// reduction over the rows; the lattice walk then proceeds one popcount
-// level at a time, computing every view of a level concurrently. Parent
-// choices for a level are resolved sequentially before the fan-out — views
-// of equal popcount can never derive from each other, so the choices match
-// the sequential walk exactly and the concurrent tasks only read finished
-// parent views. Cancellation is checked between levels and between row
+// and build options. The base group-by folds the rows in order; the
+// lattice walk then proceeds one popcount level at a time, computing every
+// view of a level concurrently. Parent choices for a level are resolved
+// sequentially before the fan-out, and each chosen parent's keys are
+// sorted once there — views of equal popcount can never derive from each
+// other, so the choices match the sequential walk exactly and the
+// concurrent tasks only read finished parent views and their shared key
+// order. Cancellation is checked between levels and between row
 // segments, bounding latency; a governor on ctx is charged one map-entry
 // reservation per finished view. An enabled flight recorder logs the
 // build's wall time, ledger peaks and typed outcome.
@@ -345,7 +342,7 @@ func buildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (*
 	st := opt.stage(ctx, "cube.rolap_sp", len(in.Rows))
 	acct := newAccountant(ctx)
 	defer acct.close()
-	bm, err := baseGroupBy(ctx, in, maskDims(base, n), st)
+	bm, err := groupBy(ctx, in, maskDims(base, n))
 	if err != nil {
 		recordBuildAbort(err)
 		return nil, err
@@ -363,6 +360,9 @@ func buildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (*
 		}
 	}
 	sortByPopcountDesc(order)
+	// sorted[p] holds parent view p's entries in ascending key order,
+	// sorted once and read by every task that folds p.
+	sorted := make([]sortedView, nviews)
 	for lo := 0; lo < len(order); {
 		if err := budget.Check(ctx); err != nil {
 			recordBuildAbort(err)
@@ -376,13 +376,18 @@ func buildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (*
 		level := order[lo:hi]
 		parents := make([]int, len(level))
 		for i, mask := range level {
-			parents[i] = smallestComputedParent(mask, out)
+			p := smallestComputedParent(mask, out)
+			parents[i] = p
+			if sorted[p].keys == nil {
+				sorted[p] = sortView(out.ByMask[p])
+			}
 		}
 		err := st.ForEach(len(level), func(i int) error {
 			if err := fault.Hit(ctx, fault.PointCubeView); err != nil {
 				return err
 			}
-			m := aggregateFromParent(out, parents[i], level[i], n)
+			p := parents[i]
+			m := aggregateFromParent(out.Card, sorted[p], p, level[i])
 			if err := acct.chargeView(len(m), rolapEntryBytes); err != nil {
 				return err
 			}
@@ -398,46 +403,24 @@ func buildROLAPSmallestParentCtx(ctx context.Context, in *Input, opt Options) (*
 	return out, nil
 }
 
-// baseGroupBy aggregates the base view from the raw rows. The parallel
-// path routes rows to per-worker partial maps by key ownership; each key
-// is summed by exactly one worker in row order, so unioning the disjoint
-// partials reproduces the sequential map byte for byte. A canceled context
-// aborts the grouped reduction between row segments and surfaces here as
-// budget.ErrCanceled — partial maps are discarded, never merged.
-func baseGroupBy(ctx context.Context, in *Input, dims []int, st parallel.Stage) (map[uint64]float64, error) {
-	w := parallel.Workers(st.Workers, len(in.Rows))
-	if w > 1 {
-		parts := make([]map[uint64]float64, w)
-		for o := range parts {
-			parts[o] = map[uint64]float64{}
+// groupBy aggregates one view straight from the rows, folding them in
+// row order. The fold is sequential even when the build fans out: routing
+// rows to per-worker partial maps cost more than it saved at every E9
+// input size, so builds parallelize across views instead. Cancellation
+// aborts between row segments.
+func groupBy(ctx context.Context, in *Input, dims []int) (map[uint64]float64, error) {
+	// Size the map for the most groups the view can have: no more than
+	// the rows, nor than the cells of its cross product.
+	size := 1
+	for _, d := range dims {
+		c := in.Card[d]
+		if c <= 0 || size > len(in.Rows)/c {
+			size = len(in.Rows)
+			break
 		}
-		ran, err := st.GroupReduce(len(in.Rows), parallel.HashOwner(w),
-			func(_, i int, out func(uint64)) { out(groupKey(in.Rows[i], dims, in.Card)) },
-			func(o int, key uint64, i, _ int) { parts[o][key] += in.Vals[i] })
-		if err != nil {
-			// A contained worker panic: the partial maps are garbage and a
-			// sequential retry would re-panic uncontained — surface the
-			// typed error instead.
-			return nil, err
-		}
-		if ran {
-			total := 0
-			for _, p := range parts {
-				total += len(p)
-			}
-			m := make(map[uint64]float64, total)
-			for _, p := range parts {
-				for k, v := range p {
-					m[k] = v
-				}
-			}
-			return m, nil
-		}
-		// GroupReduce declined (single worker after all) or aborted on a
-		// canceled context; the ticker below returns the typed error in
-		// the latter case before any sequential work happens.
+		size *= c
 	}
-	m := map[uint64]float64{}
+	m := make(map[uint64]float64, min(size, len(in.Rows)))
 	tick := budget.NewTicker(ctx, 0)
 	for ri, row := range in.Rows {
 		if err := tick.Tick(); err != nil {
@@ -477,13 +460,33 @@ func smallestComputedParent(mask int, v *Views) int {
 	return best
 }
 
+// sortedView is a view's entries in ascending key order.
+type sortedView struct {
+	keys []uint64
+	vals []float64
+}
+
+func sortView(view map[uint64]float64) sortedView {
+	keys := make([]uint64, 0, len(view))
+	for k := range view {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	vals := make([]float64, len(keys))
+	for i, k := range keys {
+		vals[i] = view[k]
+	}
+	return sortedView{keys, vals}
+}
+
 // aggregateFromParent rolls a parent view's entries up into the child
 // view, decoding the parent keys and re-keying onto the child's dims.
-// Parent entries are visited in ascending key order so each child key
+// Parent entries are visited in ascending key order, so each child key
 // accumulates its float sum in one fixed order — the determinism the
 // byte-identical parallel/sequential guarantee rests on (map iteration
 // order would reshuffle the additions run to run).
-func aggregateFromParent(v *Views, parent, child, n int) map[uint64]float64 {
+func aggregateFromParent(card []int, pv sortedView, parent, child int) map[uint64]float64 {
+	n := len(card)
 	pd := maskDims(parent, n)
 	cd := maskDims(child, n)
 	// Child dims positions within the parent's dim list.
@@ -500,27 +503,21 @@ func aggregateFromParent(v *Views, parent, child, n int) map[uint64]float64 {
 			panic("cube: child dim missing from parent")
 		}
 	}
-	out := make(map[uint64]float64, len(v.ByMask[parent])/2+1)
+	out := make(map[uint64]float64, len(pv.keys)/2+1)
 	coords := make([]int, len(pd))
-	keys := make([]uint64, 0, len(v.ByMask[parent]))
-	for k := range v.ByMask[parent] {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		val := v.ByMask[parent][k]
+	for ki, k := range pv.keys {
 		// Decode the parent key (row-major over pd).
 		kk := k
 		for i := len(pd) - 1; i >= 0; i-- {
-			c := uint64(v.Card[pd[i]])
+			c := uint64(card[pd[i]])
 			coords[i] = int(kk % c)
 			kk /= c
 		}
 		var ck uint64
 		for i, d := range cd {
-			ck = ck*uint64(v.Card[d]) + uint64(coords[pos[i]])
+			ck = ck*uint64(card[d]) + uint64(coords[pos[i]])
 		}
-		out[ck] += val
+		out[ck] += pv.vals[ki]
 	}
 	return out
 }

@@ -59,15 +59,10 @@ func materializeCtx(ctx context.Context, in *Input, masks []int) (*MaterializedS
 	}
 	acct := newAccountant(ctx)
 	defer acct.close()
-	baseDims := maskDims(base, n)
-	bm := map[uint64]float64{}
-	tick := budget.NewTicker(ctx, 0)
-	for ri, row := range in.Rows {
-		if err := tick.Tick(); err != nil {
-			recordBuildAbort(err)
-			return nil, err
-		}
-		bm[groupKey(row, baseDims, in.Card)] += in.Vals[ri]
+	bm, err := groupBy(ctx, in, maskDims(base, n))
+	if err != nil {
+		recordBuildAbort(err)
+		return nil, err
 	}
 	if err := acct.chargeView(len(bm), rolapEntryBytes); err != nil {
 		recordBuildAbort(err)
@@ -122,9 +117,7 @@ func (m *MaterializedSet) smallestParent(mask int) int {
 
 // aggregate rolls the parent view's entries into the child view.
 func (m *MaterializedSet) aggregate(parent, child int) map[uint64]float64 {
-	v := &Views{Card: m.card, ByMask: make([]map[uint64]float64, 1<<uint(len(m.card)))}
-	v.ByMask[parent] = m.views[parent]
-	return aggregateFromParent(v, parent, child, len(m.card))
+	return aggregateFromParent(m.card, sortView(m.views[parent]), parent, child)
 }
 
 // Answer computes the group-by for mask, materialized or not, from the

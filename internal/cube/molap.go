@@ -6,8 +6,6 @@ import (
 
 	"statcube/internal/budget"
 	"statcube/internal/fault"
-	"statcube/internal/marray"
-	"statcube/internal/parallel"
 	"statcube/internal/qlog"
 )
 
@@ -109,7 +107,7 @@ func buildMOLAPCtx(ctx context.Context, in *Input, opt Options) (*Views, bool, e
 	base := nviews - 1
 	arrays[base] = newDenseView(in.Card, base)
 	st := opt.stage(ctx, "cube.molap", len(in.Rows))
-	if err := loadDense(ctx, in, arrays[base], st); err != nil {
+	if err := loadDense(ctx, in, arrays[base]); err != nil {
 		recordBuildAbort(err)
 		return nil, false, err
 	}
@@ -168,39 +166,11 @@ func buildMOLAPCtx(ctx context.Context, in *Input, opt Options) (*Views, bool, e
 	return out, false, nil
 }
 
-// loadDense folds the rows into the base array. The parallel path owns the
-// array by contiguous index range, so each cell is written by exactly one
-// reducer, in row order — no locks, and bit-identical sums. Cancellation
-// aborts between row segments; the partially-loaded array is discarded by
-// the caller.
-func loadDense(ctx context.Context, in *Input, a *dense, st parallel.Stage) error {
-	w := parallel.Workers(st.Workers, len(in.Rows))
-	if w > 1 {
-		ran, err := st.GroupReduce(len(in.Rows), parallel.RangeOwner(w, uint64(len(a.vals))),
-			func(_, i int, out func(uint64)) {
-				pos := 0
-				row := in.Rows[i]
-				for j, d := range a.dims {
-					pos = pos*a.shape[j] + row[d]
-				}
-				out(uint64(pos))
-			},
-			func(_ int, key uint64, i, _ int) {
-				a.vals[key] += in.Vals[i]
-				a.present[key] = true
-			})
-		if err != nil {
-			// Contained worker panic — the array holds partial sums and the
-			// sequential retry would re-panic; surface the typed error.
-			return err
-		}
-		if ran {
-			return nil
-		}
-		// Aborted mid-reduction on a canceled context: the array holds
-		// partial sums, so the sequential retry below must not run — the
-		// ticker's first poll returns the typed error instead.
-	}
+// loadDense folds the rows into the base array in row order. Like the
+// ROLAP base group-by it stays sequential; the build fans out across the
+// lattice's views instead. Cancellation aborts between row segments; the
+// partially-loaded array is discarded by the caller.
+func loadDense(ctx context.Context, in *Input, a *dense) error {
 	tick := budget.NewTicker(ctx, 0)
 	for ri, row := range in.Rows {
 		if err := tick.Tick(); err != nil {
@@ -264,18 +234,24 @@ func (a *dense) rollup(childMask int) *dense {
 			}
 		}
 	}
+	// coords walks the parent cells in row-major order, odometer style, so
+	// no cell position is ever divided back into coordinates.
 	coords := make([]int, len(a.dims))
 	for p, present := range a.present {
-		if !present {
-			continue
+		if present {
+			cp := 0
+			for i := range child.dims {
+				cp = cp*child.shape[i] + coords[pos[i]]
+			}
+			child.vals[cp] += a.vals[p]
+			child.present[cp] = true
 		}
-		marray.Delinearize(p, a.shape, coords)
-		cp := 0
-		for i := range child.dims {
-			cp = cp*child.shape[i] + coords[pos[i]]
+		for j := len(coords) - 1; j >= 0; j-- {
+			if coords[j]++; coords[j] < a.shape[j] {
+				break
+			}
+			coords[j] = 0
 		}
-		child.vals[cp] += a.vals[p]
-		child.present[cp] = true
 	}
 	return child
 }
@@ -283,7 +259,13 @@ func (a *dense) rollup(childMask int) *dense {
 // toMap converts the dense view to the common map form keyed like the
 // ROLAP builders (row-major over the view's dims).
 func (a *dense) toMap() map[uint64]float64 {
-	out := make(map[uint64]float64)
+	n := 0
+	for _, present := range a.present {
+		if present {
+			n++
+		}
+	}
+	out := make(map[uint64]float64, n)
 	for p, present := range a.present {
 		if present {
 			out[uint64(p)] = a.vals[p]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"statcube/internal/btree"
 	"statcube/internal/core"
@@ -167,20 +166,12 @@ func E12Summarizability() *Report {
 	if err != nil {
 		return r.fail(err)
 	}
-	best := func(fn func()) (d time.Duration) {
-		for i := 0; i < 5; i++ {
-			if t := timeIt(fn); i == 0 || t < d {
-				d = t
-			}
-		}
-		return d
-	}
-	withCheck := best(func() {
+	withCheck := bestOf(5, func() {
 		if _, err := retail.Object.SAggregate("store", "city"); err != nil {
 			panic(err)
 		}
 	})
-	withoutCheck := best(func() {
+	withoutCheck := bestOf(5, func() {
 		if _, err := retail.Object.SAggregateUnchecked("store", "city"); err != nil {
 			panic(err)
 		}

@@ -93,6 +93,17 @@ func timeIt(fn func()) time.Duration {
 	return time.Since(start)
 }
 
+// bestOf runs fn n times and returns the fastest run, so a comparison is
+// not dominated by allocator or scheduler noise.
+func bestOf(n int, fn func()) (d time.Duration) {
+	for i := 0; i < n; i++ {
+		if t := timeIt(fn); i == 0 || t < d {
+			d = t
+		}
+	}
+	return d
+}
+
 // ratio formats a speedup/shrink factor defensively.
 func ratio(a, b float64) float64 {
 	if b == 0 {

@@ -16,29 +16,28 @@ type pair struct {
 	sub  int32
 }
 
+// emitter buffers one chunk's emissions for their owners. Its item and
+// sub fields track the item being emitted, so the callback handed to emit
+// is one method value per chunk goroutine rather than a closure per item.
+type emitter struct {
+	ownerOf func(uint64) int
+	route   [][]pair
+	item    int32
+	sub     int32
+}
+
+func (e *emitter) out(key uint64) {
+	o := e.ownerOf(key)
+	e.route[o] = append(e.route[o], pair{key, e.item, e.sub})
+	e.sub++
+}
+
 // HashOwner returns a key→owner router that spreads arbitrary keys
 // uniformly across workers (Fibonacci multiplicative hash).
 func HashOwner(workers int) func(uint64) int {
 	w := uint64(workers)
 	return func(k uint64) int {
 		return int((k * 0x9E3779B97F4A7C15 >> 32) % w)
-	}
-}
-
-// RangeOwner routes keys in [0, size) to workers by contiguous range —
-// the right router when reducers write disjoint regions of a dense array
-// (adjacent keys stay with one owner, preserving locality).
-func RangeOwner(workers int, size uint64) func(uint64) int {
-	per := (size + uint64(workers) - 1) / uint64(workers)
-	if per == 0 {
-		per = 1
-	}
-	return func(k uint64) int {
-		o := int(k / per)
-		if o >= workers {
-			o = workers - 1
-		}
-		return o
 	}
 }
 
@@ -122,7 +121,8 @@ func (s Stage) GroupReduce(
 			if hi > n {
 				hi = n
 			}
-			route := bufs[c]
+			em := &emitter{ownerOf: ownerOf, route: bufs[c]}
+			out := em.out // one method value per chunk, not one closure per item
 			tick := budget.NewTicker(s.Ctx, 0)
 			task := lo
 			defer func() { keepPanic(contain(task, recover())) }()
@@ -132,12 +132,8 @@ func (s Stage) GroupReduce(
 					aborted.Store(true)
 					return
 				}
-				sub := int32(0)
-				emit(c, i, func(key uint64) {
-					o := ownerOf(key)
-					route[o] = append(route[o], pair{key, int32(i), sub})
-					sub++
-				})
+				em.item, em.sub = int32(i), 0
+				emit(c, i, out)
 			}
 		}(c)
 	}

@@ -1,8 +1,8 @@
 // Package parallel is the engine-wide fan-out layer: a GOMAXPROCS-aware
 // bounded worker pool with deterministic merge order and error propagation
-// that cancels queued work. The cube builders, the colstore/relstore scans
-// and the core group-by operators all run their hot loops through this
-// package, so every parallel stage in the engine shares one contract:
+// that cancels queued work. The cube builders' per-view fan-outs, the
+// colstore/relstore scans and the core group-by operators all run through
+// this package, so every parallel stage in the engine shares one contract:
 //
 //   - the parallel path produces byte-identical output to the sequential
 //     path (see GroupReduce for how order-sensitive reductions keep this);

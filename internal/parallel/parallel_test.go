@@ -109,27 +109,11 @@ func TestMapReturnsIndexOrder(t *testing.T) {
 func TestOwners(t *testing.T) {
 	for _, w := range []int{1, 3, 8} {
 		h := HashOwner(w)
-		r := RangeOwner(w, 1000)
 		for k := uint64(0); k < 2000; k++ {
 			if o := h(k); o < 0 || o >= w {
 				t.Fatalf("HashOwner(%d)(%d) = %d out of [0,%d)", w, k, o, w)
 			}
-			if o := r(k); o < 0 || o >= w {
-				t.Fatalf("RangeOwner(%d)(%d) = %d out of [0,%d)", w, k, o, w)
-			}
 		}
-		// RangeOwner must be monotone so owners hold contiguous key ranges.
-		prev := 0
-		for k := uint64(0); k < 1000; k++ {
-			if o := r(k); o < prev {
-				t.Fatalf("RangeOwner not monotone at key %d", k)
-			} else {
-				prev = o
-			}
-		}
-	}
-	if o := RangeOwner(4, 0)(0); o < 0 || o >= 4 {
-		t.Fatalf("RangeOwner with size 0 returned %d", o)
 	}
 }
 
@@ -232,6 +216,31 @@ func TestGroupReduceReplayOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGroupReduceAllocsSublinear guards the route phase against a per-item
+// allocation: the emit callback is built once per chunk, so allocations
+// come only from route-buffer growth (logarithmic in n). Going from 5,000
+// to 50,000 items may add at most one allocation per 100 extra items; a
+// per-item closure adds one or more per item.
+func TestGroupReduceAllocsSublinear(t *testing.T) {
+	const w = 4
+	st := Stage{Name: "test", Workers: w}
+	var sums [w]uint64
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			ran, err := st.GroupReduce(n, HashOwner(w),
+				func(_, i int, out func(uint64)) { out(uint64(i % 1013)) },
+				func(o int, key uint64, _, _ int) { sums[o] += key })
+			if err != nil || !ran {
+				t.Fatalf("n=%d: ran=%v err=%v", n, ran, err)
+			}
+		})
+	}
+	small, large := allocs(5000), allocs(50000)
+	if large-small > (50000-5000)/100 {
+		t.Fatalf("GroupReduce allocs grow with n: %.0f at n=5000, %.0f at n=50000", small, large)
 	}
 }
 
