@@ -72,6 +72,7 @@ lint-suppressions:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseInterval$$' -fuzztime=$(FUZZTIME) ./internal/hierarchy
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/query
+	$(GO) test -run='^$$' -fuzz='^FuzzAutoFold$$' -fuzztime=$(FUZZTIME) ./internal/query
 	$(GO) test -run='^$$' -fuzz='^FuzzGovernorReserve$$' -fuzztime=$(FUZZTIME) ./internal/budget
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=$(FUZZTIME) ./internal/snapshot
 

@@ -3,10 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 
-	"statcube/internal/budget"
 	"statcube/internal/obs"
 )
 
@@ -23,9 +20,17 @@ import (
 
 // Pick is one circled condition: values of one level of one dimension's
 // classification. A zero Level means the leaf level.
+//
+// WhereOnly marks a condition that only restricts (a WHERE name that is
+// not also grouped BY): the dimension is collapsed out of the result —
+// sliced away when one value is picked, summed over when several are —
+// unless it is the last dimension left. The zero value keeps the
+// dimension in the result, grouped by the picked values, as a BY name
+// does.
 type Pick struct {
-	Level  string
-	Values []Value
+	Level     string
+	Values    []Value
+	WhereOnly bool
 }
 
 // AutoQuery is a concise statistical query: conditions per dimension, and
@@ -36,119 +41,43 @@ type AutoQuery struct {
 }
 
 // AutoAggregate evaluates the query, returning a statistical object whose
-// dimensions are exactly the mentioned ones — restricted to the picked
-// values, rolled up to the picked levels — with all other dimensions
-// summarized away. Summarizability is checked along the way.
+// dimensions are the mentioned ones — restricted to the picked values,
+// rolled up to the picked levels — with all other dimensions summarized
+// away and WhereOnly dimensions collapsed. Summarizability is checked
+// along the way.
 func (o *StatObject) AutoAggregate(q AutoQuery) (*StatObject, error) {
 	return o.AutoAggregateCtx(context.Background(), q, nil)
 }
 
-// AutoAggregateSpan is AutoAggregate with tracing: each storage-level
-// operator (the store scan behind S-select/S-aggregate/S-project) opens a
-// child span on sp annotated with the cells it scanned and the groups it
-// emitted. A nil span evaluates identically with tracing off — Span
+// AutoAggregateSpan is AutoAggregate with tracing: the single store scan
+// opens a "scan:fold" child span on sp annotated with the cells it read,
+// the groups it emitted and the dimensions it selected, rolled up and
+// dropped. A nil span evaluates identically with tracing off — Span
 // methods are nil-safe.
 func (o *StatObject) AutoAggregateSpan(q AutoQuery, sp *obs.Span) (*StatObject, error) {
 	return o.AutoAggregateCtx(context.Background(), q, sp)
 }
 
 // AutoAggregateCtx is AutoAggregate with a context and optional tracing
-// span — the cancellable, budget-governed entry point. The context is
-// checked between operators and, inside the group-by shaped ones, between
-// cell segments, so cancellation latency is bounded by one segment; a
-// governor on ctx is charged for every derived object's cells.
+// span — the cancellable, budget-governed entry point. The query is
+// compiled into one fold plan (see fold.go) and answered by a single pass
+// over the base cells; no intermediate object is built. The context is
+// polled while the plan is compiled and every few thousand cells of the
+// pass; a governor on ctx is charged for the result's cells.
+//
+// The plan runs the checks the equivalent operator chain would — S-select
+// or S-select-level plus S-aggregate per mentioned dimension in sorted
+// order, S-project of the unmentioned ones, then the WhereOnly collapse —
+// in the same order, and fails with the same errors.
 func (o *StatObject) AutoAggregateCtx(ctx context.Context, q AutoQuery, sp *obs.Span) (*StatObject, error) {
 	if len(q.Where) == 0 {
 		return nil, fmt.Errorf("core: AutoAggregate with no conditions; use Total for the grand total")
 	}
-	cur := o
-	var mentioned []string
-	for dim := range q.Where {
-		mentioned = append(mentioned, dim)
+	p, err := o.compileFold(ctx, q)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(mentioned) // deterministic evaluation order
-	// step runs one storage operator under a child span, charging the
-	// cells its store scan visited and the groups the derived object holds.
-	// The child span is handed to the operator so its fan-out stage can
-	// attach the parallel-vs-sequential breakdown beneath it.
-	step := func(name string, in *StatObject, op func(child *obs.Span) (*StatObject, error)) (*StatObject, error) {
-		if err := budget.Check(ctx); err != nil {
-			return nil, err
-		}
-		child := sp.Child(name)
-		child.AddInt("cells_scanned", int64(in.Cells()))
-		out, err := op(child)
-		if err != nil {
-			child.SetErr(err)
-		} else {
-			child.AddInt("groups_out", int64(out.Cells()))
-		}
-		child.End()
-		return out, err
-	}
-	for _, dim := range mentioned {
-		pick := q.Where[dim]
-		d, err := cur.sch.Dimension(dim)
-		if err != nil {
-			return nil, err
-		}
-		level := pick.Level
-		if level == "" {
-			level = d.Class.LeafLevel().Name
-		}
-		li, err := d.Class.LevelIndex(level)
-		if err != nil {
-			return nil, err
-		}
-		if len(pick.Values) == 0 {
-			return nil, fmt.Errorf("core: empty condition for dimension %q", dim)
-		}
-		if li == 0 {
-			cur, err = step("scan:s-select:"+dim, cur, func(*obs.Span) (*StatObject, error) {
-				return cur.SSelect(dim, pick.Values...)
-			})
-		} else {
-			// Keep the subtrees under the picked values, then roll up to
-			// the picked level; whole subtrees preserve completeness.
-			cur, err = step("scan:s-select-level:"+dim, cur, func(*obs.Span) (*StatObject, error) {
-				return cur.SSelectLevel(dim, level, pick.Values...)
-			})
-			if err != nil {
-				return nil, err
-			}
-			cur, err = step("scan:s-aggregate:"+dim, cur, func(child *obs.Span) (*StatObject, error) {
-				return cur.SAggregateCtx(ctx, child, dim, level)
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Summarize over every unmentioned dimension.
-	var drop []string
-	for _, d := range cur.sch.Dimensions() {
-		if _, ok := q.Where[d.Name]; !ok {
-			drop = append(drop, d.Name)
-		}
-	}
-	if len(drop) > 0 {
-		if err := budget.Check(ctx); err != nil {
-			return nil, err
-		}
-		child := sp.Child("scan:s-project")
-		child.SetStr("dims", strings.Join(drop, ","))
-		child.AddInt("cells_scanned", int64(cur.Cells()))
-		var err error
-		cur, err = cur.SProjectCtx(ctx, child, drop...)
-		if err != nil {
-			child.SetErr(err)
-			child.End()
-			return nil, err
-		}
-		child.AddInt("groups_out", int64(cur.Cells()))
-		child.End()
-	}
-	return cur, nil
+	return o.fold(ctx, p, sp)
 }
 
 // AutoScalar evaluates a query whose every condition picks a single value,

@@ -106,3 +106,70 @@ func TestOpsCellQuota(t *testing.T) {
 		t.Errorf("governor charged %d cells, result has %d", gov2.CellsUsed(), res.Cells())
 	}
 }
+
+// foldQuery groups wideObject by state and dim0 and sums the rest: 5,760
+// allowed coordinates, so the fold polls its context mid-pass.
+var foldQuery = AutoQuery{Where: map[string]Pick{
+	"region": {Level: "state", Values: []Value{"st-0", "st-1", "st-2", "st-3"}},
+	"dim0":   {Values: []Value{"d0-00", "d0-01", "d0-02", "d0-03", "d0-04", "d0-05", "d0-06", "d0-07", "d0-08", "d0-09"}},
+}}
+
+// TestFoldMidFlightCancel drives the fold through a countdown context on
+// both access paths: every abort is typed with no partial object, aborts
+// land inside the pass (after the plan's polls; on the walk, after cells
+// were folded), and completion matches the un-canceled result bit for
+// bit.
+func TestFoldMidFlightCancel(t *testing.T) {
+	o := wideObject(t)
+	want, err := o.AutoAggregate(foldQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planPolls := len(o.Schema().Dimensions()) // one per mentioned and per summarized dimension
+	for _, path := range []int{pathWalk, pathFilter} {
+		forceFoldPath(t, path)
+		lastCancel := -1
+		for polls := 0; polls < 12; polls++ {
+			res, err := o.AutoAggregateCtx(newCountdownCtx(polls), foldQuery, nil)
+			if err != nil {
+				if !budget.IsCanceled(err) {
+					t.Fatalf("path %d polls=%d: %v is not ErrCanceled", path, polls, err)
+				}
+				if res != nil {
+					t.Fatalf("path %d polls=%d: partial object escaped", path, polls)
+				}
+				lastCancel = polls
+				continue
+			}
+			cellsIdentical(t, want, res)
+		}
+		// The pass polls first before its first cell; the walk's 5,760
+		// probes poll again after 4,096 of them.
+		inside := planPolls
+		if path == pathWalk {
+			inside++
+		}
+		if lastCancel < inside {
+			t.Errorf("path %d: last cancel after %d polls; none landed inside the pass", path, lastCancel)
+		}
+	}
+}
+
+// TestFoldCellQuota: a governor's cell quota bounds the fold's output,
+// and an admitting quota is charged exactly the result's cells.
+func TestFoldCellQuota(t *testing.T) {
+	o := wideObject(t)
+	gov := budget.NewGovernor(budget.Limits{MaxCells: 3})
+	res, err := o.AutoAggregateCtx(budget.WithGovernor(context.Background(), gov), foldQuery, nil)
+	if !errors.Is(err, budget.ErrBudgetExceeded) || res != nil {
+		t.Errorf("cell quota not enforced: res=%v err=%v", res, err)
+	}
+	gov2 := budget.NewGovernor(budget.Limits{MaxCells: 1 << 20})
+	res, err = o.AutoAggregateCtx(budget.WithGovernor(context.Background(), gov2), foldQuery, nil)
+	if err != nil {
+		t.Fatalf("admitting quota rejected the fold: %v", err)
+	}
+	if gov2.CellsUsed() != int64(res.Cells()) {
+		t.Errorf("governor charged %d cells, result has %d", gov2.CellsUsed(), res.Cells())
+	}
+}

@@ -40,6 +40,18 @@ func (o *StatObject) derive(sch *schema.Graph, op string) *StatObject {
 	return d
 }
 
+// checkAdditiveDim runs every measure's additivity check along d, as
+// S-aggregate and S-project do, counting a refusal.
+func (o *StatObject) checkAdditiveDim(d schema.Dimension) error {
+	for _, m := range o.measures {
+		if err := m.checkAdditive(d.Name, d.Temporal); err != nil {
+			recordRejection()
+			return err
+		}
+	}
+	return nil
+}
+
 // replaceDim builds a schema identical to o's with one dimension's
 // classification replaced.
 func (o *StatObject) replaceDim(dim string, cls *hierarchy.Classification) (*schema.Graph, error) {
@@ -110,24 +122,34 @@ func (o *StatObject) SSelectLevel(dim, level string, values ...Value) (*StatObje
 	if err != nil {
 		return nil, err
 	}
+	leaves, _, err := subtreeLeaves(d.Class, li, level, values)
+	if err != nil {
+		return nil, err
+	}
+	return o.SSelect(dim, leaves...)
+}
+
+// subtreeLeaves returns the distinct leaf descendants of values at level
+// li, in order, and for each the picked value it was first found under.
+func subtreeLeaves(c *hierarchy.Classification, li int, level string, values []Value) (leaves, under []Value, err error) {
 	seen := map[Value]bool{}
-	var leaves []Value
 	for _, v := range values {
-		desc, err := d.Class.Descendants(li, v, 0)
+		desc, err := c.Descendants(li, v, 0)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		for _, leafV := range desc {
-			if !seen[leafV] {
-				seen[leafV] = true
-				leaves = append(leaves, leafV)
+		for _, leaf := range desc {
+			if !seen[leaf] {
+				seen[leaf] = true
+				leaves = append(leaves, leaf)
+				under = append(under, v)
 			}
 		}
 	}
 	if len(leaves) == 0 {
-		return nil, fmt.Errorf("hierarchy: no leaf values under %v at level %q", values, level)
+		return nil, nil, fmt.Errorf("hierarchy: no leaf values under %v at level %q", values, level)
 	}
-	return o.SSelect(dim, leaves...)
+	return leaves, under, nil
 }
 
 // SSelectByProperty restricts a dimension to the leaf values whose
@@ -188,11 +210,8 @@ func (o *StatObject) SProjectCtx(ctx context.Context, sp *obs.Span, removeDims .
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range o.measures {
-			if err := m.checkAdditive(name, d.Temporal); err != nil {
-				recordRejection()
-				return nil, err
-			}
+		if err := o.checkAdditiveDim(d); err != nil {
+			return nil, err
 		}
 		remove[name] = true
 	}
@@ -287,11 +306,8 @@ func (o *StatObject) sAggregate(ctx context.Context, sp *obs.Span, dim, toLevel 
 			recordRejection()
 			return nil, fmt.Errorf("%w: %v", ErrNotSummarizable, err)
 		}
-		for _, m := range o.measures {
-			if err := m.checkAdditive(dim, d.Temporal); err != nil {
-				recordRejection()
-				return nil, err
-			}
+		if err := o.checkAdditiveDim(d); err != nil {
+			return nil, err
 		}
 	}
 	truncated, err := d.Class.Truncate(li)

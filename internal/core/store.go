@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CellStore is the physical-organization abstraction of Section 6: a
@@ -81,8 +81,14 @@ func (s *MapStore) key(coords []int) uint64 {
 }
 
 func (s *MapStore) unkey(k uint64, coords []int) {
-	for i := range s.shape {
-		coords[i] = int(k / s.strides[i] % uint64(s.shape[i]))
+	last := len(s.shape) - 1
+	for i := 0; i < last; i++ {
+		c := k / s.strides[i]
+		coords[i] = int(c)
+		k -= c * s.strides[i]
+	}
+	if last >= 0 {
+		coords[last] = int(k) // the last stride is 1
 	}
 }
 
@@ -123,7 +129,7 @@ func (s *MapStore) ForEach(fn func(coords []int, slots []float64) bool) {
 	for k := range s.cells {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	coords := make([]int, len(s.shape))
 	for _, k := range keys {
 		s.unkey(k, coords)

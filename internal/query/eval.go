@@ -3,11 +3,9 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"statcube/internal/budget"
 	"statcube/internal/core"
 	"statcube/internal/obs"
 )
@@ -87,44 +85,61 @@ func EvalCtx(ctx context.Context, o *core.StatObject, q *Query) (*core.StatObjec
 	return EvalWithSpan(ctx, o, q, nil)
 }
 
-// EvalWithSpan is EvalCtx with tracing: resolution, automatic aggregation
-// and WHERE-collapse each open a child span on sp (nil disables tracing).
+// EvalWithSpan is EvalCtx with tracing: resolution and automatic
+// aggregation each open a child span on sp (nil disables tracing), the
+// latter with the single "scan:fold" span of its store pass beneath it.
+//
+// WHERE-only dimensions — they constrained the data but were not asked
+// for in BY — are collapsed out of the result inside the same fold: a
+// single picked value is sliced away (no summarizability question), a
+// multi-value restriction is summarized over, subject to the usual
+// additivity checks. When only one dimension remains it stays — the
+// scalar reduction happens in RunScalar. Dimensions are collapsed in
+// sorted order, so the kept dimension is deterministic.
 func EvalWithSpan(ctx context.Context, o *core.StatObject, q *Query, sp *obs.Span) (*core.StatObject, error) {
 	if _, err := o.Measure(q.Measure); err != nil {
 		return nil, err
 	}
 	rs := sp.Child("resolve")
-	auto := core.AutoQuery{Measure: q.Measure, Where: map[string]core.Pick{}}
-	whereOnly := map[string][]core.Value{}
-	resolveErr := func(err error) (*core.StatObject, error) {
-		rs.SetErr(err)
-		rs.End()
+	auto, err := resolveQuery(o, q)
+	rs.SetErr(err)
+	rs.End()
+	if err != nil {
 		return nil, err
 	}
+	aa := sp.Child("auto-aggregate")
+	res, err := o.AutoAggregateCtx(ctx, auto, aa)
+	aa.SetErr(err)
+	aa.End()
+	return res, err
+}
+
+// resolveQuery binds a query's names to the object's dimensions and
+// levels: one pick per dimension, WHERE picks marked WhereOnly, BY picks
+// taking every value of the named level.
+func resolveQuery(o *core.StatObject, q *Query) (core.AutoQuery, error) {
+	auto := core.AutoQuery{Measure: q.Measure, Where: map[string]core.Pick{}}
 	for _, c := range q.Where {
 		r, err := resolveName(o, c.Name)
 		if err != nil {
-			return resolveErr(err)
+			return auto, err
 		}
 		if prev, dup := auto.Where[r.dim]; dup {
-			return resolveErr(fmt.Errorf("query: dimension %q constrained twice (%v and %v)", r.dim, prev.Values, c.Values))
+			return auto, fmt.Errorf("query: dimension %q constrained twice (%v and %v)", r.dim, prev.Values, c.Values)
 		}
-		auto.Where[r.dim] = core.Pick{Level: r.level, Values: c.Values}
-		whereOnly[r.dim] = c.Values
+		auto.Where[r.dim] = core.Pick{Level: r.level, Values: c.Values, WhereOnly: true}
 	}
 	for _, name := range q.By {
 		r, err := resolveName(o, name)
 		if err != nil {
-			return resolveErr(err)
+			return auto, err
 		}
 		if _, dup := auto.Where[r.dim]; dup {
-			return resolveErr(fmt.Errorf("query: dimension %q appears in both BY and WHERE", r.dim))
+			return auto, fmt.Errorf("query: dimension %q appears in both BY and WHERE", r.dim)
 		}
-		delete(whereOnly, r.dim)
-		// BY keeps the dimension with every value of the named level.
 		d, err := o.Schema().Dimension(r.dim)
 		if err != nil {
-			return resolveErr(err)
+			return auto, err
 		}
 		level := r.level
 		if level == "" {
@@ -132,54 +147,11 @@ func EvalWithSpan(ctx context.Context, o *core.StatObject, q *Query, sp *obs.Spa
 		}
 		li, err := d.Class.LevelIndex(level)
 		if err != nil {
-			return resolveErr(err)
+			return auto, err
 		}
 		auto.Where[r.dim] = core.Pick{Level: level, Values: d.Class.Level(li).Values}
 	}
-	rs.End()
-	aa := sp.Child("auto-aggregate")
-	res, err := o.AutoAggregateCtx(ctx, auto, aa)
-	aa.SetErr(err)
-	aa.End()
-	if err != nil {
-		return nil, err
-	}
-	// Collapse WHERE-only dimensions: they constrained the data but were
-	// not asked for in BY, so the result should not be grouped by them.
-	// A single picked value is sliced away (no summarizability question);
-	// a multi-value restriction is summarized over, subject to the usual
-	// additivity checks. When only one dimension remains it must stay —
-	// the scalar reduction happens in RunScalar. Dimensions are collapsed
-	// in sorted order so the kept dimension is deterministic.
-	dims := make([]string, 0, len(whereOnly))
-	for dim := range whereOnly {
-		dims = append(dims, dim)
-	}
-	sort.Strings(dims)
-	for _, dim := range dims {
-		if res.Schema().NumDims() <= 1 {
-			break
-		}
-		if err := budget.Check(ctx); err != nil {
-			return nil, err
-		}
-		vals := whereOnly[dim]
-		cs := sp.Child("collapse:" + dim)
-		cs.AddInt("cells_scanned", int64(res.Cells()))
-		if len(vals) == 1 {
-			res, err = res.Slice(dim, vals[0])
-		} else {
-			res, err = res.SProjectCtx(ctx, cs, dim)
-		}
-		if err != nil {
-			cs.SetErr(err)
-			cs.End()
-			return nil, err
-		}
-		cs.AddInt("groups_out", int64(res.Cells()))
-		cs.End()
-	}
-	return res, nil
+	return auto, nil
 }
 
 // Run parses and evaluates in one step.

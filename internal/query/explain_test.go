@@ -31,17 +31,16 @@ func TestRunExplainEmploymentDemo(t *testing.T) {
 	}
 
 	// The trace must contain the expected stage spans, nested under the
-	// root: parse and evaluation stages at depth 1, storage scans at
-	// depth 2.
+	// root: parse and evaluation stages at depth 1, the one storage fold
+	// at depth 2.
 	depthOf := map[string]int{}
 	span.Walk(func(depth int, sp *obs.Span) { depthOf[sp.Name()] = depth })
 	for name, wantDepth := range map[string]int{
-		"query":              0,
-		"parse":              1,
-		"resolve":            1,
-		"auto-aggregate":     1,
-		"scan:s-select:year": 2,
-		"scan:s-project":     2,
+		"query":          0,
+		"parse":          1,
+		"resolve":        1,
+		"auto-aggregate": 1,
+		"scan:fold":      2,
 	} {
 		if got, ok := depthOf[name]; !ok {
 			t.Errorf("span %q missing from trace", name)

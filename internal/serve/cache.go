@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -31,6 +32,13 @@ import (
 //     when the reservation is refused the cache evicts least-recently
 //     used entries (round-robin across shards) until it fits, and a
 //     payload larger than the whole budget is served uncached.
+//   - Scan resistance: a stored entry starts on probation and its first
+//     hit promotes it. Never-hit entries are evicted (LRU-first) before
+//     any hit one, and their bytes are capped at a sixteenth of the
+//     budget (at least 1 MiB) — all but the newest entry's, which stays
+//     for its second request whatever its size — so a stream of one-shot
+//     plans cannot push out the plans that repeat. A budget no larger than that floor has
+//     no probation segment and stays plain LRU.
 //   - Invalidation is generational: Invalidate bumps the cache
 //     generation and purges every shard. Entries carry the generation
 //     they were filled under, so a racing fill that started before the
@@ -43,6 +51,10 @@ type Cache struct {
 	gen    atomic.Uint64
 	rr     atomic.Uint64 // eviction round-robin cursor
 
+	probationCap   int64 // cap on never-hit bytes; 0: no probation segment
+	probationBytes atomic.Int64
+	stores         atomic.Uint64 // entries stored so far: the next entry's seq
+
 	hits      atomic.Int64
 	misses    atomic.Int64
 	coalesced atomic.Int64
@@ -50,9 +62,10 @@ type Cache struct {
 }
 
 type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	lru     *list.List // of *entry; front = most recently used
+	mu        sync.Mutex
+	entries   map[string]*entry
+	lru       *list.List // of *entry; front = most recently used
+	probation *list.List // of never-hit *entry; front = newest
 }
 
 // entry is one cached (or in-flight) plan result. pay/err are written
@@ -65,7 +78,9 @@ type entry struct {
 	pay   *payload
 	err   error
 	size  int64         // governor bytes charged; 0 until stored
-	elem  *list.Element // LRU position; nil until stored
+	elem  *list.Element // position in lru or probation; nil until stored
+	fresh bool          // stored and never hit: elem is in probation
+	seq   uint64        // store order, for probation's oldest-first eviction
 }
 
 // Result-cache metrics, one registration site each:
@@ -89,9 +104,13 @@ var (
 	cacheHitRatio      = obs.Default().Gauge("cache.hit_ratio")
 )
 
+// probationFloor is the least byte cap of the probation segment; a
+// budget no larger than it keeps plain LRU.
+const probationFloor = 1 << 20
+
 // NewCache returns a cache of `shards` shards (rounded up to a power of
 // two, minimum 1) whose stored entries are bounded by maxBytes (0 means
-// unbounded).
+// unbounded, with no probation segment).
 func NewCache(shards int, maxBytes int64) *Cache {
 	n := 1
 	for n < shards {
@@ -102,9 +121,13 @@ func NewCache(shards int, maxBytes int64) *Cache {
 		shards: make([]cacheShard, n),
 		mask:   uint64(n - 1),
 	}
+	if pc := max(maxBytes/16, probationFloor); maxBytes > 0 && pc < maxBytes {
+		c.probationCap = pc
+	}
 	for i := range c.shards {
 		c.shards[i].entries = map[string]*entry{}
 		c.shards[i].lru = list.New()
+		c.shards[i].probation = list.New()
 	}
 	return c
 }
@@ -138,7 +161,7 @@ func (c *Cache) GetOrFill(ctx context.Context, key string, fill func(context.Con
 	if e != nil {
 		stored := e.elem != nil
 		if stored {
-			sh.lru.MoveToFront(e.elem)
+			c.touchLocked(sh, e)
 		}
 		sh.mu.Unlock()
 		select {
@@ -201,12 +224,38 @@ func (c *Cache) GetOrFill(ctx context.Context, key string, fill func(context.Con
 		sh.mu.Unlock()
 	} else {
 		e.size = size // written under the shard lock, like every dropLocked read
-		e.elem = sh.lru.PushFront(e)
+		if c.probationCap > 0 {
+			e.elem, e.fresh, e.seq = sh.probation.PushFront(e), true, c.stores.Add(1)
+			c.probationBytes.Add(size)
+		} else {
+			e.elem = sh.lru.PushFront(e)
+		}
 		sh.mu.Unlock()
 		c.entries.Add(1)
+		// Trim the segment back under its cap, older entries first. The
+		// entry just stored stays, even when it alone is over the cap, so
+		// the next request for its plan still hits.
+		for c.probationBytes.Load() > c.probationCap {
+			if !c.evictProbation(e.seq) {
+				break
+			}
+		}
 	}
 	c.publishGauges()
 	return pay, false, err
+}
+
+// touchLocked records a hit on a stored entry (the caller holds its
+// shard's lock): a first hit promotes it out of probation, a later one
+// moves it to the front of the LRU.
+func (c *Cache) touchLocked(sh *cacheShard, e *entry) {
+	if !e.fresh {
+		sh.lru.MoveToFront(e.elem)
+		return
+	}
+	sh.probation.Remove(e.elem)
+	e.elem, e.fresh = sh.lru.PushFront(e), false
+	c.probationBytes.Add(-e.size)
 }
 
 // reserve charges size bytes to the cache budget, evicting LRU entries
@@ -224,9 +273,47 @@ func (c *Cache) reserve(size int64) bool {
 	}
 }
 
-// evictOne removes the least-recently-used stored entry of the first
-// non-empty shard after the round-robin cursor, releasing its bytes.
+// evictOne removes one stored entry, never-hit ones first, releasing
+// its bytes.
 func (c *Cache) evictOne() bool {
+	return c.evictProbation(math.MaxUint64) || c.evictLRU()
+}
+
+// evictProbation removes the oldest never-hit entry across all shards
+// if it was stored before the entry of seq before; it reports whether
+// it removed one.
+func (c *Cache) evictProbation(before uint64) bool {
+	var oldest *cacheShard
+	seq := before
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		if back := sh.probation.Back(); back != nil {
+			if e := back.Value.(*entry); e.seq < seq {
+				oldest, seq = sh, e.seq
+			}
+		}
+		sh.mu.Unlock()
+	}
+	if oldest == nil {
+		return false
+	}
+	oldest.mu.Lock()
+	back := oldest.probation.Back()
+	ok := back != nil && back.Value.(*entry).seq < before
+	if ok {
+		c.dropLocked(oldest, back.Value.(*entry))
+	}
+	oldest.mu.Unlock()
+	if ok && obs.On() {
+		cacheEvictions.Inc()
+	}
+	return ok
+}
+
+// evictLRU removes the least-recently-used hit entry of the first
+// non-empty shard after the round-robin cursor.
+func (c *Cache) evictLRU() bool {
 	start := c.rr.Add(1)
 	for i := uint64(0); i < uint64(len(c.shards)); i++ {
 		sh := &c.shards[(start+i)&c.mask]
@@ -252,7 +339,13 @@ func (c *Cache) evictOne() bool {
 func (c *Cache) dropLocked(sh *cacheShard, e *entry) {
 	delete(sh.entries, e.key)
 	if e.elem != nil {
-		sh.lru.Remove(e.elem)
+		if e.fresh {
+			sh.probation.Remove(e.elem)
+			c.probationBytes.Add(-e.size)
+			e.fresh = false
+		} else {
+			sh.lru.Remove(e.elem)
+		}
 		e.elem = nil
 		c.entries.Add(-1)
 	}
@@ -286,26 +379,29 @@ func (c *Cache) Generation() uint64 { return c.gen.Load() }
 
 // Stats is a point-in-time summary of the cache for /healthz and tests.
 type Stats struct {
-	Hits       int64   `json:"hits"`
-	Coalesced  int64   `json:"coalesced"`
-	Misses     int64   `json:"misses"`
-	HitRatio   float64 `json:"hit_ratio"`
-	Entries    int64   `json:"entries"`
-	Bytes      int64   `json:"bytes"`
-	Generation uint64  `json:"generation"`
-	MaxBytes   int64   `json:"max_bytes"`
+	Hits      int64   `json:"hits"`
+	Coalesced int64   `json:"coalesced"`
+	Misses    int64   `json:"misses"`
+	HitRatio  float64 `json:"hit_ratio"`
+	Entries   int64   `json:"entries"`
+	Bytes     int64   `json:"bytes"`
+	// ProbationBytes are the bytes of stored entries never hit yet.
+	ProbationBytes int64  `json:"probation_bytes"`
+	Generation     uint64 `json:"generation"`
+	MaxBytes       int64  `json:"max_bytes"`
 }
 
 // Stats returns the cache's current counters.
 func (c *Cache) Stats() Stats {
 	s := Stats{
-		Hits:       c.hits.Load(),
-		Coalesced:  c.coalesced.Load(),
-		Misses:     c.misses.Load(),
-		Entries:    c.entries.Load(),
-		Bytes:      c.gov.BytesReserved(),
-		Generation: c.gen.Load(),
-		MaxBytes:   c.gov.Limits().MaxBytes,
+		Hits:           c.hits.Load(),
+		Coalesced:      c.coalesced.Load(),
+		Misses:         c.misses.Load(),
+		Entries:        c.entries.Load(),
+		Bytes:          c.gov.BytesReserved(),
+		ProbationBytes: c.probationBytes.Load(),
+		Generation:     c.gen.Load(),
+		MaxBytes:       c.gov.Limits().MaxBytes,
 	}
 	s.HitRatio = hitRatio(s.Hits+s.Coalesced, s.Misses)
 	return s

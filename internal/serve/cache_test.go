@@ -251,3 +251,106 @@ func TestCacheFillErrorNotCached(t *testing.T) {
 		t.Fatalf("retry after failed fill: pay=%v hit=%v err=%v", pay, hit, err)
 	}
 }
+
+// TestCacheProbationCapsOneShotBytes: a flood of keys that are each
+// requested once keeps never-hit bytes within the probation cap (a
+// sixteenth of the budget), while a key hit once before the flood keeps
+// its entry.
+func TestCacheProbationCapsOneShotBytes(t *testing.T) {
+	const budget = 32 << 20
+	c := NewCache(4, budget)
+	fill := func(context.Context) (*payload, error) { return testPayload(8 << 10), nil }
+	for i := 0; i < 2; i++ { // stored, then hit: promoted out of probation
+		if _, _, err := c.GetOrFill(context.Background(), "hot", fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	capBytes := int64(budget / 16)
+	for i := 0; i < 2048; i++ { // 16 MiB of one-shot plans
+		if _, _, err := c.GetOrFill(context.Background(), fmt.Sprintf("cold%d", i), fill); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.ProbationBytes > capBytes || st.Bytes > budget {
+			t.Fatalf("after cold%d: probation %d bytes (cap %d), total %d", i, st.ProbationBytes, capBytes, st.Bytes)
+		}
+	}
+	if st := c.Stats(); st.ProbationBytes < capBytes/2 {
+		t.Errorf("probation holds %d bytes after the flood; the segment should fill toward its cap %d", st.ProbationBytes, capBytes)
+	}
+	if _, hit, _ := c.GetOrFill(context.Background(), "hot", fill); !hit {
+		t.Errorf("the key hit before the flood was evicted by one-shot keys")
+	}
+	// The newest one-shot entry is still stored: a plan's second request hits.
+	if _, hit, _ := c.GetOrFill(context.Background(), "cold2047", fill); !hit {
+		t.Errorf("the newest fill was evicted before its second request")
+	}
+}
+
+// TestCacheProbationEvictsNeverHitFirst: when the whole budget is full,
+// never-hit entries go before hit ones, even older hit ones.
+func TestCacheProbationEvictsNeverHitFirst(t *testing.T) {
+	c := NewCache(2, 4<<20) // probation cap: the 1 MiB floor
+	hot := func(context.Context) (*payload, error) { return testPayload(512 << 10), nil }
+	cold := func(context.Context) (*payload, error) { return testPayload(64 << 10), nil }
+	for i := 0; i < 7; i++ { // seven hit entries: 3.5 MiB
+		key := fmt.Sprintf("hot%d", i)
+		for j := 0; j < 2; j++ {
+			if _, _, err := c.GetOrFill(context.Background(), key, hot); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 12; i++ { // 768 KiB of one-shot entries overflow the budget, not the cap
+		if _, _, err := c.GetOrFill(context.Background(), fmt.Sprintf("cold%d", i), cold); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.ProbationBytes == 0 || st.Bytes > 4<<20 {
+		t.Fatalf("stats after the flood: %+v", st)
+	}
+	for i := 0; i < 7; i++ {
+		if _, hit, _ := c.GetOrFill(context.Background(), fmt.Sprintf("hot%d", i), hot); !hit {
+			t.Errorf("hot%d evicted while never-hit entries remained", i)
+		}
+	}
+}
+
+// TestCacheProbationKeepsOversizedFill: a payload larger than the
+// probation cap but within the budget is still stored — its second
+// request hits — and storing it evicts no hit entry. The next fill
+// trims it like any other never-hit entry.
+func TestCacheProbationKeepsOversizedFill(t *testing.T) {
+	const budget = 32 << 20
+	c := NewCache(4, budget)
+	capBytes := int64(budget / 16)
+	hot := func(context.Context) (*payload, error) { return testPayload(1 << 20), nil }
+	for i := 0; i < 4; i++ { // four hit entries: 4 MiB
+		for j := 0; j < 2; j++ {
+			if _, _, err := c.GetOrFill(context.Background(), fmt.Sprintf("hot%d", i), hot); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	big := func(context.Context) (*payload, error) { return testPayload(int(capBytes) + 1<<20), nil }
+	if _, hit, err := c.GetOrFill(context.Background(), "big", big); err != nil || hit {
+		t.Fatalf("first request for big: hit=%v err=%v", hit, err)
+	}
+	if _, hit, _ := c.GetOrFill(context.Background(), "big", big); !hit {
+		t.Errorf("a payload between the probation cap and the budget missed its second request")
+	}
+	for i := 0; i < 4; i++ {
+		if _, hit, _ := c.GetOrFill(context.Background(), fmt.Sprintf("hot%d", i), hot); !hit {
+			t.Errorf("hot%d evicted by storing an oversized never-hit entry", i)
+		}
+	}
+	if _, _, err := c.GetOrFill(context.Background(), "big2", big); err != nil {
+		t.Fatal(err)
+	}
+	small := func(context.Context) (*payload, error) { return testPayload(8 << 10), nil }
+	if _, _, err := c.GetOrFill(context.Background(), "small", small); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.ProbationBytes > capBytes {
+		t.Errorf("probation holds %d bytes after a small fill; cap %d", st.ProbationBytes, capBytes)
+	}
+}
